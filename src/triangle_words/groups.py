@@ -49,13 +49,6 @@ def _compose(p, q):
     return tuple(p[q[x]] for x in range(len(p)))
 
 
-def _inv_perm(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def group_order_cap() -> int:
     value = os.environ.get("TRIANGLE_WORDS_CAP")
     return int(value) if value else DEFAULT_CAP
@@ -261,12 +254,22 @@ def count_products(C: ConjClass, D: ConjClass, z: int) -> int:
     return sum(1 for x in C.members for y in D.members if G.mul(x, y) == z)
 
 
-def _product_counts(G: FiniteGroup, C: ConjClass, D: ConjClass):
-    counts = [0] * G.order
-    for x in C.members:
-        row = G._mul[x]
-        for y in D.members:
-            counts[row[y]] += 1
+def _class_product_counts(G: FiniteGroup):
+    """counts[c][e][d] = #{(x, y) in C_c x C_d : xy = z}, for z the first
+    member of C_e.  The count is a class function of z, so one
+    representative stands for the whole class; it is found as
+    #{x in C_c : x^-1 z in C_d}."""
+    index = G._class_index
+    n = len(G._classes)
+    counts = []
+    for C in G._classes:
+        per_e = []
+        for E in G._classes:
+            z, row = E[0], [0] * n
+            for x in C:
+                row[index[G._mul[G._inv[x]][z]]] += 1
+            per_e.append(row)
+        counts.append(per_e)
     return counts
 
 
@@ -275,25 +278,15 @@ def burnside_count_check(G: FiniteGroup, s: int) -> bool:
     to the exponent preserves all class-product multiplicities."""
     if math.gcd(s, G.exponent()) != 1:
         raise InvalidSError(f"s={s} is not coprime to the exponent {G.exponent()}")
-    classes = G.conjugacy_classes()
-    counts = {
-        (C.members, D.members): _product_counts(G, C, D)
-        for C in classes
-        for D in classes
-    }
-    for C in classes:
-        Cs = C.power(s)
-        for D in classes:
-            Ds = D.power(s)
-            base = counts[(C.members, D.members)]
-            powd = counts[(Cs.members, Ds.members)]
-            for E in classes:
-                Es = E.power(s)
-                for z in E.members:
-                    for z2 in Es.members:
-                        if base[z] != powd[z2]:
-                            return False
-    return True
+    power = [G._class_index[G.power(C[0], s)] for C in G._classes]
+    counts = _class_product_counts(G)
+    n = len(power)
+    return all(
+        counts[c][e][d] == counts[power[c]][power[e]][power[d]]
+        for c in range(n)
+        for e in range(n)
+        for d in range(n)
+    )
 
 
 def _torsion_classes(G: FiniteGroup, n: int):
@@ -372,6 +365,9 @@ def _dihedral_pair(k, l, m):
 
 @dataclass(frozen=True)
 class VonDyckRealization:
+    """A realization is built once per signature and shared by every caller
+    of ``vondyck``; treat it, and its group, as read-only."""
+
     group: FiniteGroup
     a_id: int
     c_id: int
@@ -381,25 +377,44 @@ class VonDyckRealization:
 
     def __post_init__(self):
         G, k, l, m = self.group, self.k, self.l, self.m
-        assert G.power(self.a_id, k) == 0
-        assert G.power(self.c_id, m) == 0
-        assert G.power(G.mul(G.inv(self.a_id), self.c_id), l) == 0
-        expected = 2 * k * l * m // (l * m + k * m + k * l - k * l * m)
-        assert G.order == expected, f"order {G.order} != {expected}"
+        if G.power(self.a_id, k) != 0:
+            raise InternalInconsistencyError(f"a^{k} != 1 in {G.name}")
+        if G.power(self.c_id, m) != 0:
+            raise InternalInconsistencyError(f"c^{m} != 1 in {G.name}")
+        if G.power(G.mul(G.inv(self.a_id), self.c_id), l) != 0:
+            raise InternalInconsistencyError(f"(a^-1 c)^{l} != 1 in {G.name}")
+        expected = _spherical_order(k, l, m)
+        if G.order != expected:
+            raise InternalInconsistencyError(f"order {G.order} != {expected}")
+
+
+def _spherical_order(k: int, l: int, m: int) -> int:
+    return 2 * k * l * m // (l * m + k * m + k * l - k * l * m)
 
 
 def vondyck(k: int, l: int, m: int) -> VonDyckRealization:
     """Concrete permutation realization of the finite (spherical) von Dyck
-    group with presentation a^k = (a^-1 c)^l = c^m = 1."""
-    if l * m + k * m + k * l <= k * l * m:
+    group with presentation a^k = (a^-1 c)^l = c^m = 1.
+
+    Realizations are memoised per signature.  The order cap is checked on
+    the closed-form order before the cache is consulted, so a lowered
+    TRIANGLE_WORDS_CAP also holds for signatures built earlier."""
+    if l * m + k * m + k * l <= k * l * m or not (
+        sorted((k, l, m))[:2] == [2, 2] or (k, l, m) in _SPHERICAL_TABLE
+    ):
         raise NotFiniteError(f"({k},{l},{m}) has no finite realization")
+    order, cap = _spherical_order(k, l, m), group_order_cap()
+    if order > cap:
+        raise TooLargeError(f"vondyck({k},{l},{m}) has order {order} > cap {cap}")
+    return _build_vondyck(k, l, m)
+
+
+@lru_cache(maxsize=64)
+def _build_vondyck(k: int, l: int, m: int) -> VonDyckRealization:
     if sorted((k, l, m))[:2] == [2, 2]:
         a, c = _dihedral_pair(k, l, m)
     else:
-        try:
-            a, c = _SPHERICAL_TABLE[(k, l, m)]
-        except KeyError:
-            raise NotFiniteError(f"({k},{l},{m}) has no finite realization")
+        a, c = _SPHERICAL_TABLE[(k, l, m)]
     G = enumerate_group([a, c], name=f"vondyck({k},{l},{m})")
     index = {p: i for i, p in enumerate(G.perms)}
     return VonDyckRealization(G, index[a], index[c], k, l, m)

@@ -5,9 +5,11 @@ import json
 
 import pytest
 
+from triangle_words import groups, lattice
 from triangle_words.cli import (
     EXIT_ERROR,
     EXIT_FALSE,
+    EXIT_INCONSISTENT,
     EXIT_TRUE,
     main,
 )
@@ -182,3 +184,32 @@ class TestOrevkov:
     def test_bad_angle(self, capsys):
         code, _, _ = run(capsys, "orevkov", "1/2", "nope", "1/7")
         assert code == EXIT_ERROR
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+class TestExitCodes:
+    """Failures that are not verdicts never exit 1."""
+
+    def test_memory_error_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(lattice, "multiplier_set", _raise(MemoryError()))
+        code, out, err = run(capsys, "multiplier", "--k", "2", "--l", "3", "--m", "7")
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_internal_inconsistency_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            groups, "universal_witness", _raise(groups.InternalInconsistencyError("no witness"))
+        )
+        code, out, err = run(
+            capsys, "witness", "--k", "2", "--l", "2", "--m", "5", "--r", "3"
+        )
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert "no witness" in err

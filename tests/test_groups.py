@@ -12,9 +12,11 @@ from triangle_words import groups
 from triangle_words.groups import (
     CORPUS_NAMES,
     GroupError,
+    InternalInconsistencyError,
     InvalidSError,
     NotFiniteError,
     TooLargeError,
+    VonDyckRealization,
     burnside_count_check,
     corpus_group,
     count_products,
@@ -158,6 +160,39 @@ class TestCountProducts:
                 assert total == len(C) * len(D)
 
 
+def burnside_all_pairs(G, s):
+    """Oracle: the counting identity compared at every member pair (z, z')
+    of a class E and its power class E^s, with product counts tabulated
+    over all of G."""
+
+    def product_counts(C, D):
+        counts = [0] * G.order
+        for x in C.members:
+            for y in D.members:
+                counts[G.mul(x, y)] += 1
+        return counts
+
+    classes = G.conjugacy_classes()
+    counts = {(C.members, D.members): product_counts(C, D) for C in classes for D in classes}
+    for C in classes:
+        Cs = C.power(s)
+        for D in classes:
+            Ds = D.power(s)
+            base = counts[(C.members, D.members)]
+            powd = counts[(Cs.members, Ds.members)]
+            for E in classes:
+                Es = E.power(s)
+                for z in E.members:
+                    for z2 in Es.members:
+                        if base[z] != powd[z2]:
+                            return False
+    return True
+
+
+def symmetric_group(n):
+    return enumerate_group([(1, 0) + tuple(range(2, n)), tuple(range(1, n)) + (0,)])
+
+
 class TestBurnsideCountCheck:
     def test_s3(self):
         assert burnside_count_check(corpus_group("s3"), 5)
@@ -172,6 +207,37 @@ class TestBurnsideCountCheck:
     def test_rejects_non_coprime(self):
         with pytest.raises(InvalidSError):
             burnside_count_check(corpus_group("s3"), 2)
+
+    def test_matches_all_pairs_oracle(self):
+        for G in [corpus_group(name) for name in CORPUS_NAMES] + [symmetric_group(5)]:
+            e = G.exponent()
+            for s in range(1, e + 1):
+                if math.gcd(s, e) == 1:
+                    assert burnside_count_check(G, s) == burnside_all_pairs(G, s), (G, s)
+
+    def test_false_on_a_power_map_that_moves_counts(self, monkeypatch):
+        # swapping the transpositions with the 3-cycles is no class power
+        # map of S3, so the identity fails, and both versions must see it
+        G = symmetric_group(3)
+        t = next(g for g in range(6) if G.order_of(g) == 2)
+        c = next(g for g in range(6) if G.order_of(g) == 3)
+        swap = {2: c, 3: t}
+        monkeypatch.setattr(G, "power", lambda a, n: swap.get(G.order_of(a), a))
+        assert burnside_all_pairs(G, 1) is False
+        assert burnside_count_check(G, 1) is False
+
+    def test_class_counts_match_count_products(self):
+        # the per-class table read at one representative must hold for
+        # every member z of the class
+        for name in CORPUS_NAMES:
+            G = corpus_group(name)
+            classes = G.conjugacy_classes()
+            counts = groups._class_product_counts(G)
+            for c, C in enumerate(classes):
+                for d, D in enumerate(classes):
+                    for e, E in enumerate(classes):
+                        for z in E.members:
+                            assert counts[c][e][d] == count_products(C, D, z)
 
 
 class TestMultiplierSetFinite:
@@ -224,6 +290,23 @@ class TestVonDyck:
                 expected = 2 * k * l * m // (l * m + k * m + k * l - k * l * m)
                 assert real.group.order == expected
 
+    def test_memoised(self):
+        assert vondyck(2, 3, 5) is vondyck(2, 3, 5)
+
+    def test_cap_holds_on_cache_hit(self, monkeypatch):
+        assert vondyck(2, 2, 20).group.order == 40
+        monkeypatch.setenv("TRIANGLE_WORDS_CAP", "10")
+        with pytest.raises(TooLargeError):
+            vondyck(2, 2, 20)
+        assert vondyck(2, 2, 5).group.order == 10
+
+    def test_wrong_generator_raises(self):
+        real = vondyck(2, 3, 3)
+        with pytest.raises(InternalInconsistencyError):
+            VonDyckRealization(real.group, real.c_id, real.c_id, 2, 3, 3)
+        with pytest.raises(InternalInconsistencyError):
+            VonDyckRealization(real.group, real.a_id, real.c_id, 2, 3, 4)
+
 
 class TestWitnesses:
     def test_identity_witness(self):
@@ -249,6 +332,21 @@ class TestWitnesses:
     def test_non_spherical(self):
         with pytest.raises(NotFiniteError):
             universal_witness(2, 3, 7, 1)
+
+    def test_cached_matches_fresh_build(self, monkeypatch):
+        rng = random.Random(3)
+        triples = [(2, 3, 3), (2, 3, 4), (2, 3, 5), (5, 3, 2), (3, 2, 4), (2, 2, 2)]
+        triples += [rng.choice([(2, 2, n), (2, n, 2), (n, 2, 2)]) for n in range(3, 16)]
+        cases = [
+            (k, l, m, r)
+            for k, l, m in triples
+            for r in range(1, math.lcm(k, l, m) + 1)
+            if math.gcd(r, math.lcm(k, l, m)) == 1
+        ]
+        cached = [universal_witness(*case) for case in cases]
+        monkeypatch.setattr(groups, "_build_vondyck", groups._build_vondyck.__wrapped__)
+        assert vondyck(2, 3, 5) is not vondyck(2, 3, 5)
+        assert [universal_witness(*case) for case in cases] == cached
 
 
 class TestLemma42:
