@@ -1,20 +1,7 @@
-"""Kernel backend selection.
+"""The hot kernels, in plain Python (``pure``)."""
 
-The compiled Cython backend is preferred; the pure-Python backend is used
-as a fallback, or when the TRIANGLE_WORDS_PURE environment variable is set
-to a non-empty value.
-"""
+from . import pure as backend
 
-import os
-
-if os.environ.get("TRIANGLE_WORDS_PURE"):
-    from . import pure as backend
-else:
-    try:
-        from . import _fast as backend  # type: ignore[attr-defined]
-    except ImportError:
-        from . import pure as backend
-
-BACKEND = backend.NAME
+BACKEND = "pure"
 
 __all__ = ["backend", "BACKEND"]

@@ -1,17 +1,11 @@
-"""Pure-Python backend for the hot kernels.
-
-Same observable behaviour as the compiled backend in ``_fast.pyx``; used
-when the extension is unavailable or when TRIANGLE_WORDS_PURE is set.
-"""
+"""The hot kernels: the segment-permutation test, the multiplier-unit scan,
+the twisted-word search and the PSL2(R) conjugator search.  Standard
+library only."""
 
 from __future__ import annotations
 
 import math
 from itertools import product
-
-import numpy as np
-
-NAME = "pure"
 
 
 def segment_perm_check(m: int, r: int, c: int) -> bool:
@@ -101,39 +95,64 @@ def twisted_search(order, mul, inv, phi, p, u_bases, u_exps, max_len=3):
     return None
 
 
-def grid_class_distance(rep_a, rep_b, rep_c, phi0, dphi, nphi, s0, ds, ns):
-    """Scan conjugators g = R(phi*pi) * diag(e^s, e^-s) and return the best
-    match (distance, phi, s) between the class parameter of
-    (sigma_a * g sigma_b g^-1)^-1 and rep_c."""
-    ca, sa = math.cos(math.pi * rep_a), math.sin(math.pi * rep_a)
-    cb, sb = math.cos(math.pi * rep_b), math.sin(math.pi * rep_b)
+# Conjugators g = R(phi*pi) * diag(e^s, e^-s) tried by grid_class_distance.
+S_MAX = 5.0
+PHIS = (0.0, 0.25, 0.5, 0.75)
+BISECTIONS = 60
 
-    phis = phi0 + dphi * np.arange(nphi)
-    ss = s0 + ds * np.arange(ns)
-    t = (math.pi * phis)[:, None]
-    ct, st = np.cos(t), np.sin(t)
-    e2 = np.exp(2.0 * ss)[None, :]
 
+def _inverse_entries(ca, sa, cb, sb, phi, s):
+    """Trace and lower-left entry of w = (sigma_a * g sigma_b g^-1)^-1."""
+    ct, st = math.cos(math.pi * phi), math.sin(math.pi * phi)
+    e2 = math.exp(2.0 * s)
     # M = diag(e^s, e^-s) B diag(e^-s, e^s)
     m01 = -sb * e2
     m10 = sb / e2
-    # u = R(t) M R(-t)
+    # u = R(phi*pi) M R(-phi*pi)
     u00 = ct * (cb * ct - m01 * st) - st * (m10 * ct - cb * st)
     u01 = ct * (cb * st + m01 * ct) - st * (m10 * st + cb * ct)
     u10 = st * (cb * ct - m01 * st) + ct * (m10 * ct - cb * st)
     u11 = st * (cb * st + m01 * ct) + ct * (m10 * st + cb * ct)
-    # P = A u, with A the rotation by rep_a * pi
-    p00 = ca * u00 - sa * u10
-    p10 = sa * u00 + ca * u10
-    p11 = sa * u01 + ca * u11
-    # w = P^-1: trace(w) = trace(P), lower-left(w) = -P10
-    tr = p00 + p11
-    ll = -p10
-    sign = np.where(ll > 0, 1.0, -1.0)
-    with np.errstate(invalid="ignore"):
-        theta = np.arccos(np.clip(sign * tr / 2.0, -1.0, 1.0)) / math.pi
-    dist = np.abs(theta - rep_c)
-    dist[(np.abs(tr) >= 2.0) | (ll == 0.0)] = np.inf
+    # P = A u, with A the rotation by rep_a * pi; w = P^-1 has P's trace
+    # and lower-left entry -P10
+    return (ca * u00 - sa * u10) + (sa * u01 + ca * u11), -(sa * u00 + ca * u10)
 
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    return float(dist[i, j]), float(phis[i]), float(ss[j])
+
+def grid_class_distance(rep_a, rep_b, rep_c):
+    """Best match (distance, phi, s) between rep_c and the class parameter
+    of (sigma_a * g sigma_b g^-1)^-1 over conjugators
+    g = R(phi*pi) * diag(e^s, e^-s) with 0 <= s <= S_MAX; the distance is
+    inf when no candidate is elliptic.
+
+    The trace does not depend on phi and falls strictly as s grows, so for
+    each sign of the lower-left entry one bisection in s finds the only s
+    whose trace matches rep_c; each phi of PHIS is then tried at that s.
+    """
+    ca, sa = math.cos(math.pi * rep_a), math.sin(math.pi * rep_a)
+    cb, sb = math.cos(math.pi * rep_b), math.sin(math.pi * rep_b)
+    best = (math.inf, math.nan, math.nan)
+    for sign in (1.0, -1.0):
+        target = 2.0 * sign * math.cos(math.pi * rep_c)
+        lo, hi = 0.0, S_MAX
+        if not (
+            _inverse_entries(ca, sa, cb, sb, 0.0, hi)[0]
+            <= target
+            <= _inverse_entries(ca, sa, cb, sb, 0.0, lo)[0]
+        ):
+            continue
+        for _ in range(BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if _inverse_entries(ca, sa, cb, sb, 0.0, mid)[0] > target:
+                lo = mid
+            else:
+                hi = mid
+        s = 0.5 * (lo + hi)
+        for phi in PHIS:
+            tr, ll = _inverse_entries(ca, sa, cb, sb, phi, s)
+            if abs(tr) >= 2.0 or ll == 0.0:
+                continue
+            half = tr / 2.0 if ll > 0 else -tr / 2.0
+            dist = abs(math.acos(max(-1.0, min(1.0, half))) / math.pi - rep_c)
+            if dist < best[0]:
+                best = (dist, phi, s)
+    return best

@@ -7,6 +7,7 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .groups import InternalInconsistencyError
 from .residue import NotCoprimeError, UnitResidue, as_unit, crt_star
 
 
@@ -17,13 +18,20 @@ class Reason(enum.Enum):
     NONE = "NONE"
 
 
+def _check_reason(universal: bool, reason: Reason) -> None:
+    if universal != (reason is not Reason.NONE):
+        raise InternalInconsistencyError(
+            f"verdict universal={universal} with reason {reason.value}"
+        )
+
+
 @dataclass(frozen=True)
 class BurnsideVerdict:
     universal: bool
     reason: Reason
 
     def __post_init__(self):
-        assert self.universal == (self.reason is not Reason.NONE)
+        _check_reason(self.universal, self.reason)
 
 
 @dataclass(frozen=True)
@@ -32,7 +40,7 @@ class HondaVerdict:
     reason: Reason
 
     def __post_init__(self):
-        assert self.universal == (self.reason is not Reason.NONE)
+        _check_reason(self.universal, self.reason)
 
 
 class InvalidRError(NotCoprimeError):

@@ -13,9 +13,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._kernels import backend
+from .groups import InternalInconsistencyError
+
+# Numeric verdicts: a class-parameter match within TOLERANCE counts, and sums
+# of representatives within BOUNDARY_MARGIN of 1 or 2 get no verdict.
+TOLERANCE = 1e-3
+BOUNDARY_MARGIN = 0.02
+
+Matrix = tuple[tuple[float, float], tuple[float, float]]
 
 
 class InvalidAngleError(ValueError):
@@ -72,19 +78,34 @@ def orevkov_solvable(a: Angle, b: Angle, c: Angle) -> bool:
     return not (1 < s < 2)
 
 
-def sigma_matrix(a: Angle) -> np.ndarray:
+def _rotation(turns: float) -> Matrix:
+    t = math.pi * turns
+    return ((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t)))
+
+
+def _matmul(x: Matrix, y: Matrix) -> Matrix:
+    return (
+        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
+        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
+    )
+
+
+def _sl2_inverse(x: Matrix) -> Matrix:
+    return ((x[1][1], -x[0][1]), (-x[1][0], x[0][0]))
+
+
+def sigma_matrix(a: Angle) -> Matrix:
     """Rotation matrix with angle rep(a) * pi."""
-    t = math.pi * float(a.rep)
-    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return _rotation(float(a.rep))
 
 
-def class_of(w: np.ndarray) -> float:
+def class_of(w: Matrix) -> float:
     """Class parameter theta in (0, 1) of an elliptic matrix: normalize the
     sign so the lower-left entry is positive, then arccos(trace/2) / pi."""
-    tr = float(w[0, 0] + w[1, 1])
+    tr = w[0][0] + w[1][1]
     if abs(tr) >= 2:
         raise NotEllipticError(f"trace {tr} not in (-2, 2)")
-    ll = float(w[1, 0])
+    ll = w[1][0]
     if ll == 0:
         raise NotEllipticError("zero lower-left entry")
     if ll < 0:
@@ -92,42 +113,35 @@ def class_of(w: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, tr / 2.0))) / math.pi
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    phi_step: float = 0.005
-    s_max: float = 5.0
-    s_step: float = 0.01
-    tolerance: float = 1e-3
-    boundary_margin: float = 0.02
-    refine_rounds: int = 4
-
-
-def numeric_triple_solvable(
-    a: Angle, b: Angle, c: Angle, config: GridConfig = GridConfig()
-) -> bool:
-    """Search conjugators g = R(phi*pi) diag(e^s, e^-s) on a grid, with
-    local refinement, for one making sigma_a * g sigma_b g^-1 land in the
-    class inverse to c.  Independent of the exact criterion."""
+def numeric_conjugator(a: Angle, b: Angle, c: Angle) -> tuple[float, float] | None:
+    """A conjugator g = R(phi*pi) diag(e^s, e^-s), as (phi, s), for which
+    sigma_a * g sigma_b g^-1 lies in the class inverse to c, or None when the
+    search finds none.  Independent of the exact criterion: the kernel's
+    candidate is re-verified on the explicit matrix product."""
     ra, rb, rc = _reps_nonzero(a, b, c)
-    s = ra + rb + rc
-    margin = config.boundary_margin
-    if abs(float(s) - 1.0) < margin or abs(float(s) - 2.0) < margin:
+    total = ra + rb + rc
+    if min(abs(float(total) - 1), abs(float(total) - 2)) < BOUNDARY_MARGIN:
         raise InconclusiveError(
-            f"representative sum {s} within {margin} of a boundary"
+            f"representative sum {total} within {BOUNDARY_MARGIN} of a boundary"
         )
-    fa, fb, fc = float(ra), float(rb), float(rc)
-    nphi = int(round(1.0 / config.phi_step))
-    ns = int(round(config.s_max / config.s_step)) + 1
-    dist, phi, sbest = backend.grid_class_distance(
-        fa, fb, fc, 0.0, config.phi_step, nphi, 0.0, config.s_step, ns
-    )
-    dphi, ds = config.phi_step, config.s_step
-    for _ in range(config.refine_rounds):
-        if not math.isfinite(dist):
-            break
-        dphi /= 10.0
-        ds /= 10.0
-        dist, phi, sbest = backend.grid_class_distance(
-            fa, fb, fc, phi - 15 * dphi, dphi, 31, max(0.0, sbest - 15 * ds), ds, 31
+    dist, phi, s = backend.grid_class_distance(float(ra), float(rb), float(rc))
+    if not dist < TOLERANCE:
+        return None
+    g = _matmul(_rotation(phi), ((math.exp(s), 0.0), (0.0, math.exp(-s))))
+    p = _matmul(sigma_matrix(a), _matmul(g, _matmul(sigma_matrix(b), _sl2_inverse(g))))
+    try:
+        theta = class_of(_sl2_inverse(p))
+    except NotEllipticError:
+        theta = math.nan
+    if not abs(theta - float(rc)) < TOLERANCE:
+        raise InternalInconsistencyError(
+            f"conjugator (phi={phi}, s={s}) for {a}, {b}, {c} gives class "
+            f"{theta}, not {float(rc)}"
         )
-    return dist < config.tolerance
+    return phi, s
+
+
+def numeric_triple_solvable(a: Angle, b: Angle, c: Angle) -> bool:
+    """Whether the numeric search finds a re-verified conjugator (see
+    ``numeric_conjugator``)."""
+    return numeric_conjugator(a, b, c) is not None

@@ -11,7 +11,6 @@ b-letters.  Words are stored as the base-letter ids plus the b-exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from ._kernels import backend
 from .groups import FiniteGroup, MixedGroupError

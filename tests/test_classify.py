@@ -109,7 +109,10 @@ class TestViaBurnside:
 
 
 def test_verdict_invariant_enforced():
-    from triangle_words.classify import BurnsideVerdict
+    from triangle_words.classify import BurnsideVerdict, HondaVerdict
+    from triangle_words.groups import InternalInconsistencyError
 
-    with pytest.raises(AssertionError):
+    with pytest.raises(InternalInconsistencyError):
         BurnsideVerdict(True, Reason.NONE)
+    with pytest.raises(InternalInconsistencyError):
+        HondaVerdict(False, Reason.RSTAR_IS_PM1)

@@ -2,10 +2,11 @@
 main() directly."""
 
 import json
+import math
 
 import pytest
 
-from triangle_words import groups, lattice
+from triangle_words import groups, lattice, psl2
 from triangle_words.cli import (
     EXIT_ERROR,
     EXIT_FALSE,
@@ -175,6 +176,21 @@ class TestOrevkov:
         assert data["numeric_solvable"] is True
         assert data["numeric_agrees"] is True
 
+    def test_numeric_conjugator_certificate(self, capsys):
+        _, data, _ = run_json(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
+        phi, s = data["numeric_conjugator"]
+        # the printed (phi, s) puts sigma_a * g sigma_b g^-1 in the class of
+        # c^-1, for g = R(phi*pi) diag(e^s, e^-s)
+        diag = ((math.exp(s), 0.0), (0.0, math.exp(-s)))
+        g = psl2._matmul(psl2._rotation(phi), diag)
+        a, b = (psl2.sigma_matrix(psl2.Angle.parse(x)) for x in ("1/2", "1/3"))
+        p = psl2._matmul(a, psl2._matmul(g, psl2._matmul(b, psl2._sl2_inverse(g))))
+        assert abs(psl2.class_of(psl2._sl2_inverse(p)) - 1 / 7) < psl2.TOLERANCE
+
+        _, data, _ = run_json(capsys, "orevkov", "1/2", "1/2", "1/2", "--numeric")
+        assert data["numeric_solvable"] is False
+        assert data["numeric_conjugator"] is None
+
     def test_numeric_inconclusive_reported(self, capsys):
         code, data, _ = run_json(capsys, "orevkov", "1/3", "1/3", "1/3", "--numeric")
         assert code == EXIT_TRUE
@@ -213,3 +229,13 @@ class TestExitCodes:
         assert code == EXIT_INCONSISTENT
         assert out == ""
         assert "no witness" in err
+
+    def test_failed_conjugator_reverification_exits_3(self, capsys, monkeypatch):
+        # a kernel claiming a match at a point that is not one
+        monkeypatch.setattr(
+            psl2.backend, "grid_class_distance", lambda *args: (0.0, 0.0, 0.0)
+        )
+        code, out, err = run(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
+        assert code == EXIT_INCONSISTENT
+        assert out == ""
+        assert "conjugator" in err

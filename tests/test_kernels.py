@@ -1,108 +1,56 @@
-"""Parity tests between the pure-Python and compiled kernel backends."""
+"""The kernel backend: one pure-Python implementation, no third-party
+imports."""
 
+import ast
 import math
-import random
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
+import triangle_words
 from triangle_words._kernels import BACKEND, pure
-
-try:
-    from triangle_words._kernels import _fast as fast
-except ImportError:
-    fast = None
-
-needs_fast = pytest.mark.skipif(
-    fast is None, reason="compiled backend not available"
-)
 
 
 def test_backend_selected():
-    assert BACKEND in ("pure", "fast")
+    assert BACKEND == "pure"
 
 
-@needs_fast
-def test_segment_parity():
-    for m in range(3, 60):
-        for r in range(1, m):
-            if math.gcd(r, m) != 1:
-                continue
-            for c in range(1, m - 1):
-                assert pure.segment_perm_check(m, r, c) == fast.segment_perm_check(
-                    m, r, c
-                )
+def test_grid_unsolvable_is_infinite():
+    # sigma_{1/2} * g sigma_{1/2} g^-1 has half-trace -cosh(2s) <= -1: never
+    # elliptic, so no conjugator reaches the class 1/2
+    dist, _, _ = pure.grid_class_distance(0.5, 0.5, 0.5)
+    assert dist == math.inf
+    # hyperbolic-sum triple (sum 5/3): no s in [0, 5] matches either sign
+    dist, _, _ = pure.grid_class_distance(0.5, 0.5, 2 / 3)
+    assert dist == math.inf
 
 
-@needs_fast
-def test_multiplier_units_parity():
-    for k in range(2, 9):
-        for l in range(2, 9):
-            for m in range(2, 9):
-                assert pure.multiplier_units(k, l, m) == fast.multiplier_units(
-                    k, l, m
-                ), (k, l, m)
+def test_grid_solvable_is_close():
+    dist, phi, s = pure.grid_class_distance(0.5, 1 / 3, 1 / 7)
+    assert dist < 1e-9
+    assert 0.0 <= s <= pure.S_MAX
+    assert phi in pure.PHIS
 
 
-@needs_fast
-def test_twisted_search_parity():
-    from triangle_words.groups import corpus_group
-    from triangle_words.words import ReducedWord, apply_twisted, invert, multiply
-    from triangle_words.words import TwistedAutomorphism
-
-    G = corpus_group("s3")
-    rng = random.Random(17)
-    # a couple of automorphisms of S3 (conjugations) plus the identity
-    autos = [tuple(range(6))]
-    for g in range(1, 6):
-        autos.append(tuple(G.conj(g, x) for x in range(6)))
-    for _ in range(60):
-        phi = rng.choice(autos)
-        p = rng.randrange(6)
-        # targets of the right shape: psi(v) v^-1 for random v, or junk
-        if rng.random() < 0.7:
-            t = TwistedAutomorphism(G, phi, p)
-            while True:
-                bases = tuple(rng.randrange(6) for _ in range(3))
-                exps = tuple(rng.choice((1, -1)) for _ in range(2))
-                try:
-                    v = ReducedWord(G, bases, exps)
-                    break
-                except ValueError:
-                    continue
-            u = multiply(apply_twisted(t, v), invert(v))[0]
-            ub, ue = u.bases, u.exps
-        else:
-            ub, ue = (rng.randrange(6), rng.randrange(6), rng.randrange(6)), (1, 1)
-        a = pure.twisted_search(6, G._mul, G._inv, list(phi), p, ub, ue, 3)
-        b = fast.twisted_search(6, G._mul, G._inv, list(phi), p, ub, ue, 3)
-        assert a == b
-
-
-@needs_fast
-def test_grid_parity():
-    rng = random.Random(4)
-    for _ in range(10):
-        ra, rb, rc = (rng.uniform(0.1, 0.9) for _ in range(3))
-        a = pure.grid_class_distance(ra, rb, rc, 0.0, 0.01, 100, 0.0, 0.05, 60)
-        b = fast.grid_class_distance(ra, rb, rc, 0.0, 0.01, 100, 0.0, 0.05, 60)
-        # best distances must agree; the argmin cell may differ on an
-        # exact tie plateau, so only check each reported point reproduces
-        # its own distance
-        assert a[0] == pytest.approx(b[0], abs=1e-9)
-        for dist, phi, s in (a, b):
-            d2 = fast.grid_class_distance(ra, rb, rc, phi, 1.0, 1, s, 1.0, 1)[0]
-            assert d2 == pytest.approx(dist, abs=1e-9)
-
-
-def test_pure_env_override(monkeypatch):
-    import importlib
-
-    import triangle_words._kernels as kernels
-
-    monkeypatch.setenv("TRIANGLE_WORDS_PURE", "1")
-    reloaded = importlib.reload(kernels)
-    try:
-        assert reloaded.BACKEND == "pure"
-    finally:
-        monkeypatch.delenv("TRIANGLE_WORDS_PURE")
-        importlib.reload(kernels)
+def test_no_third_party_import():
+    """A fresh interpreter importing the CLI and psl2 loads only the standard
+    library and this package."""
+    code = (
+        "import sys; before = set(sys.modules); "
+        "import triangle_words.cli, triangle_words.psl2; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    # the fresh interpreter imports the same package as this one
+    src = str(Path(triangle_words.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    loaded = set(ast.literal_eval(out.stdout))
+    assert "triangle_words" in loaded
+    assert loaded - {"triangle_words"} <= sys.stdlib_module_names

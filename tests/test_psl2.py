@@ -5,24 +5,54 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triangle_words.psl2 import (
+    BOUNDARY_MARGIN,
+    TOLERANCE,
     Angle,
-    GridConfig,
     InconclusiveError,
     InvalidAngleError,
     NotEllipticError,
     class_of,
+    numeric_conjugator,
     numeric_triple_solvable,
     orevkov_solvable,
     sigma_matrix,
 )
 
+IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+
 
 def A(p, q=None):
     return Angle(Fraction(p, q) if q else Fraction(p))
+
+
+def mat_mul(*ms):
+    out = IDENTITY
+    for m in ms:
+        out = tuple(
+            tuple(sum(out[i][k] * m[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    return out
+
+
+def mat_inv(m):
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    return ((m[1][1] / det, -m[0][1] / det), (-m[1][0] / det, m[0][0] / det))
+
+
+def mat_neg(m):
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def assert_close(m, want, atol):
+    for i in range(2):
+        for j in range(2):
+            assert abs(m[i][j] - want[i][j]) <= atol, (m, want)
 
 
 class TestAngle:
@@ -71,40 +101,40 @@ class TestOrevkovSolvable:
 
 class TestSigmaAndClassOf:
     def test_sigma_half(self):
-        np.testing.assert_allclose(
-            sigma_matrix(A(1, 2)), [[0, -1], [1, 0]], atol=1e-15
-        )
+        assert_close(sigma_matrix(A(1, 2)), ((0, -1), (1, 0)), atol=1e-15)
 
     def test_sigma_zero(self):
-        np.testing.assert_allclose(sigma_matrix(A(0)), np.eye(2), atol=1e-15)
+        assert_close(sigma_matrix(A(0)), IDENTITY, atol=1e-15)
 
     def test_sigma_third(self):
         m = sigma_matrix(A(1, 3))
-        np.testing.assert_allclose(m[0, 0], 0.5, atol=1e-12)
-        np.testing.assert_allclose(m[1, 0], math.sqrt(3) / 2, atol=1e-12)
+        assert abs(m[0][0] - 0.5) <= 1e-12
+        assert abs(m[1][0] - math.sqrt(3) / 2) <= 1e-12
 
     def test_class_roundtrip(self):
         assert abs(class_of(sigma_matrix(A(1, 3))) - 1 / 3) < 1e-12
 
     def test_sign_normalization(self):
-        assert abs(class_of(-sigma_matrix(A(1, 3))) - 1 / 3) < 1e-12
+        assert abs(class_of(mat_neg(sigma_matrix(A(1, 3)))) - 1 / 3) < 1e-12
 
     def test_conjugation_invariance(self):
         rng = random.Random(12)
         for _ in range(200):
             # random SL2 matrix via LU-style factors
             a, b, c = (rng.uniform(-2, 2) for _ in range(3))
-            g = np.array([[1.0, a], [0.0, 1.0]]) @ np.array(
-                [[1.0, 0.0], [b, 1.0]]
-            ) @ np.diag([math.exp(c), math.exp(-c)])
-            m = g @ sigma_matrix(A(1, 4)) @ np.linalg.inv(g)
+            g = mat_mul(
+                ((1.0, a), (0.0, 1.0)),
+                ((1.0, 0.0), (b, 1.0)),
+                ((math.exp(c), 0.0), (0.0, math.exp(-c))),
+            )
+            m = mat_mul(g, sigma_matrix(A(1, 4)), mat_inv(g))
             assert abs(class_of(m) - 0.25) < 1e-9
 
     def test_not_elliptic(self):
         with pytest.raises(NotEllipticError):
-            class_of(np.array([[2.0, 0.0], [0.0, 0.5]]))
+            class_of(((2.0, 0.0), (0.0, 0.5)))
         with pytest.raises(NotEllipticError):
-            class_of(np.eye(2))
+            class_of(IDENTITY)
 
 
 class TestNumericSearch:
@@ -137,6 +167,36 @@ class TestNumericSearch:
             assert numeric_triple_solvable(*angles) == orevkov_solvable(*angles)
             checked += 1
 
-    def test_custom_config(self):
-        cfg = GridConfig(phi_step=0.01, s_step=0.02, refine_rounds=3)
-        assert numeric_triple_solvable(A(1, 2), A(1, 3), A(1, 7), cfg) is True
+
+def reverify(a, b, phi, s):
+    """Class of (sigma_a * g sigma_b g^-1)^-1 for g = R(phi*pi) diag(e^s, e^-s),
+    from the explicit matrix product."""
+    t = math.pi * phi
+    g = mat_mul(
+        ((math.cos(t), -math.sin(t)), (math.sin(t), math.cos(t))),
+        ((math.exp(s), 0.0), (0.0, math.exp(-s))),
+    )
+    p = mat_mul(sigma_matrix(a), g, sigma_matrix(b), mat_inv(g))
+    return class_of(mat_inv(p))
+
+
+angles = st.integers(2, 60).flatmap(
+    lambda q: st.integers(1, q - 1).map(lambda p: A(p, q))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(angles, angles, angles)
+def test_numeric_matches_exact(a, b, c):
+    """Differential test: off the boundary, the numeric search finds a
+    conjugator exactly when the exact criterion says solvable, and every
+    conjugator it returns re-verifies on the explicit product."""
+    total = float(a.rep + b.rep + c.rep)
+    if abs(total - 1) < BOUNDARY_MARGIN or abs(total - 2) < BOUNDARY_MARGIN:
+        with pytest.raises(InconclusiveError):
+            numeric_conjugator(a, b, c)
+        return
+    found = numeric_conjugator(a, b, c)
+    assert (found is not None) == orevkov_solvable(a, b, c)
+    if found is not None:
+        assert abs(reverify(a, b, *found) - float(c.rep)) < TOLERANCE
