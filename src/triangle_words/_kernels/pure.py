@@ -19,103 +19,97 @@ def segment_perm_check(m: int, r: int, c: int) -> bool:
 
 def multiplier_units(k: int, l: int, m: int) -> list[int]:
     """Units r mod lcm(k,l,m) whose scalar action preserves the set of
-    lattice points lying in the open simplex or its negative."""
+    lattice points lying in the open simplex S or its negative -S.
+
+    -S is the negative of S and r(-p) = -(rp), so it suffices that r maps
+    every point of S into S u -S.  A point (a/k, b/l, c/m) with nonzero
+    coordinates lies in S u -S iff klm times its coordinate sum lies
+    outside [klm, 2klm]."""
     lcm = math.lcm(k, l, m)
-    klm = k * l * m
-    member = bytearray(klm)
-    pts = []
-    for a in range(1, k):
-        wa = a * l * m
-        for b in range(1, l):
-            wb = b * k * m
-            for c in range(1, m):
-                w = wa + wb + c * k * l
-                if w < klm or w > 2 * klm:
-                    member[(a * l + b) * m + c] = 1
-                    pts.append((a, b, c))
+    lm, km, kl, klm = l * m, k * m, k * l, k * l * m
+    pts = [
+        (a, b, c)
+        for a in range(1, k)
+        for b in range(1, l)
+        # the fiber over (a, b) holds the c below (klm - a*lm - b*km) / kl
+        for c in range(1, -((a * lm + b * km - klm) // kl))
+    ]
     out = []
     for r in range(1, lcm + 1):
         if math.gcd(r, lcm) != 1:
             continue
-        ok = True
         for a, b, c in pts:
-            if not member[((r * a % k) * l + r * b % l) * m + r * c % m]:
-                ok = False
+            if klm <= (r * a % k) * lm + (r * b % l) * km + (r * c % m) * kl <= 2 * klm:
                 break
-        if ok:
+        else:
             out.append(r % lcm)
-    return sorted(out)
+    return out
 
 
 def twisted_search(order, mul, inv, phi, p, u_bases, u_exps, max_len=3):
     """First reduced word v with at most ``max_len`` b-letters satisfying
-    psi(v) * v^-1 == u, where psi extends phi with b -> p*b.
+    psi(v) * v^-1 == u, for a reduced u, where psi extends phi with
+    b -> p*b; first in the order (length, exponents, bases), each
+    lexicographic with exponent 1 before -1.
 
     Returns (bases, exps) or None.  Tables are index-based with 0 = identity.
+
+    Letter i of psi(v) is L_i phi(v_i) R_i, with L_i = p^-1 after a b^-1
+    and R_i = p before a b.  In psi(v) v^-1 the b-letters cancel from the
+    junction outwards while the middle letter is 1, so with len(u) = 2t
+    every v starts with u's first t exponents, and each base letter is
+    constrained on its own: v_i = u_{2t-i}^-1 is forced for i < t, v_t
+    solves psi_t(x) x^-1 = u_t and every later v_j solves psi_j(x) = x.
+    The first v for given exponents therefore takes the least solution at
+    every position.
     """
     ub = tuple(u_bases)
-    ue = tuple(u_exps)
-    p_pos = p  # p_eps for eps = +1
-    p_neg = 0  # ... and eps = -1
-    for s in range(max_len + 1):
-        for exps in product((1, -1), repeat=s):
-            for bases in product(range(order), repeat=s + 1):
-                if any(
-                    bases[i] == 0 and exps[i - 1] == -exps[i] for i in range(1, s)
-                ):
-                    continue
-                if s == 0:
-                    w = [phi[bases[0]]]
+    t = len(u_exps) // 2
+    head = tuple(u_exps[:t])
+    if tuple(u_exps) != head + tuple(-e for e in reversed(head)):
+        return None
+    pinv = inv[p]
+    for s in range(t, max_len + 1):
+        for tail in product((1, -1), repeat=s - t):
+            exps = head + tail
+            bases = []
+            for i in range(s + 1):
+                left = pinv if i and exps[i - 1] == -1 else 0
+                right = p if i < s and exps[i] == 1 else 0
+                # reducedness: no inner identity between cancelling b-letters
+                low = 1 if 0 < i < s and exps[i - 1] == -exps[i] else 0
+                if i < t:
+                    x = inv[ub[2 * t - i]]
+                    if x < low or mul[mul[left][phi[x]]][right] != ub[i]:
+                        break
                 else:
-                    w = [mul[phi[bases[0]]][p_pos if exps[0] == 1 else p_neg]]
-                    for i in range(1, s):
-                        left = inv[p_neg if exps[i - 1] == 1 else p_pos]
-                        w.append(
-                            mul[mul[left][phi[bases[i]]]][
-                                p_pos if exps[i] == 1 else p_neg
-                            ]
-                        )
-                    left = inv[p_neg if exps[s - 1] == 1 else p_pos]
-                    w.append(mul[left][phi[bases[s]]])
-                # psi(v) * v^-1 with cancellation at the junction
-                left_b = w
-                left_e = list(exps)
-                right_b = [inv[x] for x in reversed(bases)]
-                right_e = [-e for e in reversed(exps)]
-                mid = mul[left_b.pop()][right_b.pop(0)]
-                while left_e and right_e and mid == 0 and left_e[-1] == -right_e[0]:
-                    left_e.pop()
-                    right_e.pop(0)
-                    mid = mul[left_b.pop()][right_b.pop(0)]
-                if (
-                    tuple(left_b) + (mid,) + tuple(right_b) == ub
-                    and tuple(left_e) + tuple(right_e) == ue
-                ):
-                    return tuple(bases), tuple(exps)
+                    target = ub[t] if i == t else 0
+                    x = next(
+                        (
+                            x
+                            for x in range(low, order)
+                            if mul[mul[mul[left][phi[x]]][right]][inv[x]] == target
+                        ),
+                        None,
+                    )
+                    if x is None:
+                        break
+                bases.append(x)
+            else:
+                return tuple(bases), exps
     return None
 
 
-# Conjugators g = R(phi*pi) * diag(e^s, e^-s) tried by grid_class_distance.
+# Conjugators g = diag(e^s, e^-s) tried by grid_class_distance.
 S_MAX = 5.0
-PHIS = (0.0, 0.25, 0.5, 0.75)
 BISECTIONS = 60
 
 
-def _inverse_entries(ca, sa, cb, sb, phi, s):
-    """Trace and lower-left entry of w = (sigma_a * g sigma_b g^-1)^-1."""
-    ct, st = math.cos(math.pi * phi), math.sin(math.pi * phi)
+def _inverse_entries(ca, sa, cb, sb, s):
+    """Trace and lower-left entry of w = (sigma_a * g sigma_b g^-1)^-1 for
+    g = diag(e^s, e^-s), in closed form."""
     e2 = math.exp(2.0 * s)
-    # M = diag(e^s, e^-s) B diag(e^-s, e^s)
-    m01 = -sb * e2
-    m10 = sb / e2
-    # u = R(phi*pi) M R(-phi*pi)
-    u00 = ct * (cb * ct - m01 * st) - st * (m10 * ct - cb * st)
-    u01 = ct * (cb * st + m01 * ct) - st * (m10 * st + cb * ct)
-    u10 = st * (cb * ct - m01 * st) + ct * (m10 * ct - cb * st)
-    u11 = st * (cb * st + m01 * ct) + ct * (m10 * st + cb * ct)
-    # P = A u, with A the rotation by rep_a * pi; w = P^-1 has P's trace
-    # and lower-left entry -P10
-    return (ca * u00 - sa * u10) + (sa * u01 + ca * u11), -(sa * u00 + ca * u10)
+    return 2.0 * ca * cb - sa * sb * (e2 + 1.0 / e2), -(sa * cb + ca * sb / e2)
 
 
 def grid_class_distance(rep_a, rep_b, rep_c):
@@ -124,9 +118,10 @@ def grid_class_distance(rep_a, rep_b, rep_c):
     g = R(phi*pi) * diag(e^s, e^-s) with 0 <= s <= S_MAX; the distance is
     inf when no candidate is elliptic.
 
-    The trace does not depend on phi and falls strictly as s grows, so for
-    each sign of the lower-left entry one bisection in s finds the only s
-    whose trace matches rep_c; each phi of PHIS is then tried at that s.
+    Neither the trace nor the sign of the lower-left entry of an elliptic
+    product depends on phi, so phi is always 0.  The trace falls strictly
+    as s grows, so for each sign of the lower-left entry one bisection in
+    s finds the only s whose trace matches rep_c.
     """
     ca, sa = math.cos(math.pi * rep_a), math.sin(math.pi * rep_a)
     cb, sb = math.cos(math.pi * rep_b), math.sin(math.pi * rep_b)
@@ -135,24 +130,23 @@ def grid_class_distance(rep_a, rep_b, rep_c):
         target = 2.0 * sign * math.cos(math.pi * rep_c)
         lo, hi = 0.0, S_MAX
         if not (
-            _inverse_entries(ca, sa, cb, sb, 0.0, hi)[0]
+            _inverse_entries(ca, sa, cb, sb, hi)[0]
             <= target
-            <= _inverse_entries(ca, sa, cb, sb, 0.0, lo)[0]
+            <= _inverse_entries(ca, sa, cb, sb, lo)[0]
         ):
             continue
         for _ in range(BISECTIONS):
             mid = 0.5 * (lo + hi)
-            if _inverse_entries(ca, sa, cb, sb, 0.0, mid)[0] > target:
+            if _inverse_entries(ca, sa, cb, sb, mid)[0] > target:
                 lo = mid
             else:
                 hi = mid
         s = 0.5 * (lo + hi)
-        for phi in PHIS:
-            tr, ll = _inverse_entries(ca, sa, cb, sb, phi, s)
-            if abs(tr) >= 2.0 or ll == 0.0:
-                continue
-            half = tr / 2.0 if ll > 0 else -tr / 2.0
-            dist = abs(math.acos(max(-1.0, min(1.0, half))) / math.pi - rep_c)
-            if dist < best[0]:
-                best = (dist, phi, s)
+        tr, ll = _inverse_entries(ca, sa, cb, sb, s)
+        if abs(tr) >= 2.0 or ll == 0.0:
+            continue
+        half = tr / 2.0 if ll > 0 else -tr / 2.0
+        dist = abs(math.acos(max(-1.0, min(1.0, half))) / math.pi - rep_c)
+        if dist < best[0]:
+            best = (dist, 0.0, s)
     return best

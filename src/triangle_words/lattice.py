@@ -107,7 +107,8 @@ def bset_points(sig: TriangleSignature) -> list[LatticePoint]:
 
 def multiplier_set(sig: TriangleSignature) -> set[UnitResidue]:
     """Units r mod lcm(k,l,m) with r * (H n (S u -S)) = H n (S u -S),
-    by full enumeration of H."""
+    by testing every unit on the points of H n S, enumerated fiber by
+    fiber."""
     lcm = sig.lcm
     return {
         UnitResidue(lcm, r) for r in backend.multiplier_units(sig.k, sig.l, sig.m)

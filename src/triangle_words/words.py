@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._kernels import backend
-from .groups import FiniteGroup, MixedGroupError
+from .groups import FiniteGroup, InternalInconsistencyError, MixedGroupError
 
 
 class InvalidLetterError(ValueError):
@@ -137,7 +137,11 @@ def multiply(u: ReducedWord, v: ReducedWord) -> tuple[ReducedWord, int]:
     result = ReducedWord(
         G, tuple(left_b) + (mid,) + tuple(right_b), tuple(left_e) + tuple(right_e)
     )
-    assert len(result) == len(u) + len(v) - 2 * n
+    if len(result) != len(u) + len(v) - 2 * n:
+        raise InternalInconsistencyError(
+            f"product of lengths {len(u)} and {len(v)} with {n} cancelled "
+            f"pairs has length {len(result)}"
+        )
     return result, n
 
 
@@ -223,7 +227,10 @@ def twisted_order_check(t: TwistedAutomorphism, d: int) -> bool:
     w = ReducedWord(G, (0, 0), (1,))
     for _ in range(d):
         w = apply_twisted(t, w)
-    assert by_product == (w == ReducedWord(G, (0, 0), (1,)))
+    if by_product != (w == ReducedWord(G, (0, 0), (1,))):
+        raise InternalInconsistencyError(
+            f"psi^{d} on the word b disagrees with the product test ({by_product})"
+        )
     return by_product
 
 
@@ -232,21 +239,17 @@ def eliminate_b(t: TwistedAutomorphism, q: int):
     base-group equations
         phi(x) x^-1 = y q y^-1          phi(x) p x^-1 = y q y^-1
         p^-1 phi(x) x^-1 = y q y^-1     p^-1 phi(x) p x^-1 = y q y^-1
-    or None when none is solvable."""
+    or None when none is solvable.  A y exists exactly when the left side
+    is conjugate to q, so y is searched for only at the first such x."""
     G, phi, p = t.group, t.phi, t.p
-    pinv = G.inv(p)
-    forms = [
-        lambda x: G.mul(phi[x], G.inv(x)),
-        lambda x: G.mul(G.mul(phi[x], p), G.inv(x)),
-        lambda x: G.mul(G.mul(pinv, phi[x]), G.inv(x)),
-        lambda x: G.mul(G.mul(G.mul(pinv, phi[x]), p), G.inv(x)),
-    ]
-    for case, lhs_of in enumerate(forms, start=1):
+    index = G._class_index
+    forms = [(0, 0), (0, p), (G.inv(p), 0), (G.inv(p), p)]
+    for case, (left, right) in enumerate(forms, start=1):
         for x in range(G.order):
-            lhs = lhs_of(x)
-            for y in range(G.order):
-                if lhs == G.conj(y, q):
-                    return case, x, y
+            lhs = G.mul(G.mul(G.mul(left, phi[x]), right), G.inv(x))
+            if index[lhs] == index[q]:
+                y = next(y for y in range(G.order) if G.conj(y, q) == lhs)
+                return case, x, y
     return None
 
 
@@ -265,8 +268,10 @@ def construct_vw(base: FiniteGroup, case: int, x: int, y: int):
 
 
 def search_twisted_solution(t: TwistedAutomorphism, u: ReducedWord, max_len: int = 3):
-    """Exhaustive search for a reduced word v with len(v) <= max_len and
-    psi(v) v^-1 = u.  Independent of eliminate_b; kernel-accelerated."""
+    """The first reduced word v with len(v) <= max_len and psi(v) v^-1 = u,
+    in the order of ``backend.twisted_search``, which solves the equation
+    position by position; the result is re-verified on the words.
+    Independent of eliminate_b."""
     if t.group is not u.group:
         raise MixedGroupError("automorphism and word over different base groups")
     G = t.group
@@ -277,7 +282,11 @@ def search_twisted_solution(t: TwistedAutomorphism, u: ReducedWord, max_len: int
         return None
     v = ReducedWord(G, tuple(found[0]), tuple(found[1]))
     check = multiply(apply_twisted(t, v), invert(v))[0]
-    assert check == u
+    if check != u:
+        raise InternalInconsistencyError(
+            f"twisted search returned v = {format_word(v)}, but psi(v) v^-1 is "
+            f"{format_word(check)}, not {format_word(u)}"
+        )
     return v
 
 

@@ -6,10 +6,25 @@ import math
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import triangle_words
 from triangle_words._kernels import BACKEND, pure
+from triangle_words.groups import CORPUS_NAMES, corpus_group
+from triangle_words.words import (
+    ReducedWord,
+    TwistedAutomorphism,
+    apply_twisted,
+    invert,
+    multiply,
+)
+
+from oracles import automorphism_group, twisted_search_exhaustive
+from test_words import cyclic_group
 
 
 def test_backend_selected():
@@ -30,7 +45,7 @@ def test_grid_solvable_is_close():
     dist, phi, s = pure.grid_class_distance(0.5, 1 / 3, 1 / 7)
     assert dist < 1e-9
     assert 0.0 <= s <= pure.S_MAX
-    assert phi in pure.PHIS
+    assert phi == 0.0
 
 
 def test_no_third_party_import():
@@ -54,3 +69,56 @@ def test_no_third_party_import():
     loaded = set(ast.literal_eval(out.stdout))
     assert "triangle_words" in loaded
     assert loaded - {"triangle_words"} <= sys.stdlib_module_names
+
+
+# C2-C6 and the corpus; the exhaustive oracle tries |G|^(s+1) 2^s words per
+# length s, so max_len shrinks as the order grows.
+TWISTED_GROUPS = [cyclic_group(n) for n in range(2, 7)] + [
+    corpus_group(name) for name in CORPUS_NAMES
+]
+automorphisms = cache(automorphism_group)
+
+
+def max_len_cap(order):
+    if order <= 3:
+        return 4
+    if order <= 8:
+        return 3
+    return 2 if order <= 12 else 1
+
+
+@st.composite
+def reduced_words(draw, G, max_len):
+    s = draw(st.integers(0, max_len))
+    bases = draw(st.lists(st.integers(0, G.order - 1), min_size=s + 1, max_size=s + 1))
+    exps = draw(st.lists(st.sampled_from((1, -1)), min_size=s, max_size=s))
+    for i in range(1, s):
+        if bases[i] == 0 and exps[i - 1] == -exps[i]:
+            bases[i] = 1
+    return ReducedWord(G, tuple(bases), tuple(exps))
+
+
+@st.composite
+def twisted_instances(draw):
+    G = draw(st.sampled_from(TWISTED_GROUPS))
+    t = TwistedAutomorphism(
+        G, draw(st.sampled_from(automorphisms(G))), draw(st.integers(0, G.order - 1))
+    )
+    max_len = draw(st.integers(0, max_len_cap(G.order)))
+    if draw(st.booleans()):
+        v = draw(reduced_words(G, max_len))
+        u = multiply(apply_twisted(t, v), invert(v))[0]
+    else:
+        u = draw(reduced_words(G, 2 * max_len))
+    return t, u, max_len
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisted_instances())
+def test_twisted_search_matches_exhaustive(instance):
+    """The per-position solve returns the exhaustive search's first v, or
+    None exactly when it does, on planted and on random targets."""
+    t, u, max_len = instance
+    G = t.group
+    args = (G.order, G._mul, G._inv, list(t.phi), t.p, u.bases, u.exps, max_len)
+    assert pure.twisted_search(*args) == twisted_search_exhaustive(*args)

@@ -200,3 +200,24 @@ def test_numeric_matches_exact(a, b, c):
     assert (found is not None) == orevkov_solvable(a, b, c)
     if found is not None:
         assert abs(reverify(a, b, *found) - float(c.rep)) < TOLERANCE
+
+
+def test_rotation_leaves_class_unchanged():
+    """Rotating the conjugator g = diag(e^s, e^-s) to R(phi*pi) g changes
+    neither the trace nor the sign of the lower-left entry of an elliptic
+    product, so its class is the same: why the numeric search fixes phi = 0."""
+    rng = random.Random(21)
+    checked = 0
+    while checked < 500:
+        qa, qb = rng.randrange(2, 61), rng.randrange(2, 61)
+        a, b = A(rng.randrange(1, qa), qa), A(rng.randrange(1, qb), qb)
+        s = rng.uniform(0.0, 2.0)
+        ra, rb = math.pi * float(a.rep), math.pi * float(b.rep)
+        half = math.cos(ra) * math.cos(rb)
+        half -= math.sin(ra) * math.sin(rb) * math.cosh(2 * s)
+        if abs(half) > 0.99:
+            continue
+        theta = reverify(a, b, 0.0, s)
+        for phi in (0.25, 0.5, 0.75):
+            assert abs(reverify(a, b, phi, s) - theta) < 1e-9, (a, b, s, phi)
+        checked += 1

@@ -8,7 +8,12 @@ from itertools import product
 import pytest
 
 from triangle_words import words
-from triangle_words.groups import MixedGroupError, corpus_group, from_table
+from triangle_words.groups import (
+    InternalInconsistencyError,
+    MixedGroupError,
+    corpus_group,
+    from_table,
+)
 from triangle_words.words import (
     BaseLetter,
     BLetter,
@@ -30,6 +35,8 @@ from triangle_words.words import (
     twisted_order_check,
     word,
 )
+
+from oracles import automorphism_group, eliminate_b_all_pairs
 
 
 def cyclic_group(n):
@@ -319,6 +326,21 @@ class TestEliminateB:
         with pytest.raises(InvalidLetterError):
             construct_vw(G, 5, 0, 0)
 
+    def test_matches_all_pairs_oracle(self):
+        # the class-index shortcut returns the first (case, x, y) of the
+        # all-pairs search on every (phi, p, q)
+        groups = [cyclic_group(n) for n in range(2, 7)] + [
+            corpus_group(name) for name in ("s3", "d4", "q8")
+        ]
+        for G in groups:
+            for phi in automorphism_group(G):
+                for p in range(G.order):
+                    t = TwistedAutomorphism(G, phi, p)
+                    for q in range(G.order):
+                        assert eliminate_b(t, q) == eliminate_b_all_pairs(t, q), (
+                            G.name, phi, p, q,
+                        )
+
     def test_solutions_verify(self):
         # every eliminate_b hit satisfies psi(v) v^-1 = w q w^-1
         G = corpus_group("s3")
@@ -347,6 +369,18 @@ class TestSearchTwistedSolution:
             u = multiply(apply_twisted(t, v), invert(v))[0]
             got = search_twisted_solution(t, u)
             assert got is not None  # re-verified inside the search
+
+    def test_wrong_kernel_result_raises(self, monkeypatch):
+        # the re-verification on the words is an explicit check, so it also
+        # holds under python -O
+        G = corpus_group("s3")
+        t = TwistedAutomorphism(G, tuple(range(G.order)), 1)
+        u = multiply(apply_twisted(t, word(G, "b")), invert(word(G, "b")))[0]
+        monkeypatch.setattr(
+            words.backend, "twisted_search", lambda *args: ((2, 0), (1,))
+        )
+        with pytest.raises(InternalInconsistencyError):
+            search_twisted_solution(t, u)
 
     def test_no_solution(self):
         Z3 = cyclic_group(3)
