@@ -5,7 +5,6 @@ library only."""
 from __future__ import annotations
 
 import math
-from itertools import product
 
 
 def segment_perm_check(m: int, r: int, c: int) -> bool:
@@ -62,6 +61,12 @@ def twisted_search(order, mul, inv, phi, p, u_bases, u_exps, max_len=3):
     solves psi_t(x) x^-1 = u_t and every later v_j solves psi_j(x) = x.
     The first v for given exponents therefore takes the least solution at
     every position.
+
+    Only s = t and s = t + 1 (tail b) need trying.  s = t solves position
+    t with right factor 1, and a tail starting b^-1 meets that same
+    equation there, so it fails wherever s = t fails.  A tail starting b
+    meets the equation with right factor p at every s >= t + 1, and at
+    s = t + 1 the last letter v_{t+1} = 1 solves phi(x) = x.
     """
     ub = tuple(u_bases)
     t = len(u_exps) // 2
@@ -69,84 +74,56 @@ def twisted_search(order, mul, inv, phi, p, u_bases, u_exps, max_len=3):
     if tuple(u_exps) != head + tuple(-e for e in reversed(head)):
         return None
     pinv = inv[p]
-    for s in range(t, max_len + 1):
-        for tail in product((1, -1), repeat=s - t):
-            exps = head + tail
-            bases = []
-            for i in range(s + 1):
-                left = pinv if i and exps[i - 1] == -1 else 0
-                right = p if i < s and exps[i] == 1 else 0
-                # reducedness: no inner identity between cancelling b-letters
-                low = 1 if 0 < i < s and exps[i - 1] == -exps[i] else 0
-                if i < t:
-                    x = inv[ub[2 * t - i]]
-                    if x < low or mul[mul[left][phi[x]]][right] != ub[i]:
-                        break
-                else:
-                    target = ub[t] if i == t else 0
-                    x = next(
-                        (
-                            x
-                            for x in range(low, order)
-                            if mul[mul[mul[left][phi[x]]][right]][inv[x]] == target
-                        ),
-                        None,
-                    )
-                    if x is None:
-                        break
-                bases.append(x)
+    for s in range(t, min(max_len, t + 1) + 1):
+        exps = head + (1,) * (s - t)
+        bases = []
+        for i in range(s + 1):
+            left = pinv if i and exps[i - 1] == -1 else 0
+            right = p if i < s and exps[i] == 1 else 0
+            # reducedness: no inner identity between cancelling b-letters
+            low = 1 if 0 < i < s and exps[i - 1] == -exps[i] else 0
+            if i < t:
+                x = inv[ub[2 * t - i]]
+                if x < low or mul[mul[left][phi[x]]][right] != ub[i]:
+                    break
             else:
-                return tuple(bases), exps
+                target = ub[t] if i == t else 0
+                x = next(
+                    (
+                        x
+                        for x in range(low, order)
+                        if mul[mul[mul[left][phi[x]]][right]][inv[x]] == target
+                    ),
+                    None,
+                )
+                if x is None:
+                    break
+            bases.append(x)
+        else:
+            return tuple(bases), exps
     return None
 
 
-# Conjugators g = diag(e^s, e^-s) tried by grid_class_distance.
-S_MAX = 5.0
-BISECTIONS = 60
-
-
-def _inverse_entries(ca, sa, cb, sb, s):
-    """Trace and lower-left entry of w = (sigma_a * g sigma_b g^-1)^-1 for
-    g = diag(e^s, e^-s), in closed form."""
-    e2 = math.exp(2.0 * s)
-    return 2.0 * ca * cb - sa * sb * (e2 + 1.0 / e2), -(sa * cb + ca * sb / e2)
-
-
 def grid_class_distance(rep_a, rep_b, rep_c):
-    """Best match (distance, phi, s) between rep_c and the class parameter
-    of (sigma_a * g sigma_b g^-1)^-1 over conjugators
-    g = R(phi*pi) * diag(e^s, e^-s) with 0 <= s <= S_MAX; the distance is
-    inf when no candidate is elliptic.
+    """The s >= 0 for which (sigma_a * g sigma_b g^-1)^-1, g = diag(e^s, e^-s),
+    lies in the class rep_c, or None.  The name predates the closed form;
+    ``twbench/tracing.py`` wraps the kernel by it.
 
-    Neither the trace nor the sign of the lower-left entry of an elliptic
-    product depends on phi, so phi is always 0.  The trace falls strictly
-    as s grows, so for each sign of the lower-left entry one bisection in
-    s finds the only s whose trace matches rep_c.
+    With ca = cos(pi rep_a) and so on, the product's trace is
+    2(ca cb - sa sb cosh 2s) and its lower-left entry -(sa cb + ca sb e^-2s).
+    Its class is rep_c iff the trace is 2 sigma cc, sigma the sign of that
+    entry: each sigma fixes cosh 2s and gives a solution iff cosh 2s >= 1 and
+    the entry there has sign sigma.  Rotating g changes neither the trace nor
+    that sign.
     """
     ca, sa = math.cos(math.pi * rep_a), math.sin(math.pi * rep_a)
     cb, sb = math.cos(math.pi * rep_b), math.sin(math.pi * rep_b)
-    best = (math.inf, math.nan, math.nan)
+    cc = math.cos(math.pi * rep_c)
     for sign in (1.0, -1.0):
-        target = 2.0 * sign * math.cos(math.pi * rep_c)
-        lo, hi = 0.0, S_MAX
-        if not (
-            _inverse_entries(ca, sa, cb, sb, hi)[0]
-            <= target
-            <= _inverse_entries(ca, sa, cb, sb, lo)[0]
-        ):
+        cosh_2s = (ca * cb - sign * cc) / (sa * sb)
+        if cosh_2s < 1.0:
             continue
-        for _ in range(BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if _inverse_entries(ca, sa, cb, sb, mid)[0] > target:
-                lo = mid
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        tr, ll = _inverse_entries(ca, sa, cb, sb, s)
-        if abs(tr) >= 2.0 or ll == 0.0:
-            continue
-        half = tr / 2.0 if ll > 0 else -tr / 2.0
-        dist = abs(math.acos(max(-1.0, min(1.0, half))) / math.pi - rep_c)
-        if dist < best[0]:
-            best = (dist, 0.0, s)
-    return best
+        s = 0.5 * math.acosh(cosh_2s)
+        if sign * (sa * cb + ca * sb * math.exp(-2.0 * s)) < 0.0:
+            return s
+    return None

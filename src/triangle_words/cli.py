@@ -165,14 +165,18 @@ def cmd_orevkov(args) -> int:
     if args.numeric:
         try:
             conjugator = psl2.numeric_conjugator(a, b, c)
-            numeric = conjugator is not None
-            report["numeric_solvable"] = numeric
-            report["numeric_agrees"] = numeric == solvable
-            report["numeric_conjugator"] = list(conjugator) if numeric else None
         except psl2.InconclusiveError as exc:
             report["numeric_solvable"] = "inconclusive"
             report["numeric_agrees"] = f"skipped ({exc})"
             report["numeric_conjugator"] = None
+        else:
+            numeric = conjugator is not None
+            report["numeric_solvable"] = numeric
+            report["numeric_agrees"] = numeric == solvable
+            report["numeric_conjugator"] = conjugator
+            if numeric != solvable:
+                _emit(report, args.format)
+                return EXIT_INCONSISTENT
     _emit(report, args.format)
     return EXIT_TRUE if solvable else EXIT_FALSE
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
 
-from .residue import UnitResidue, as_unit
+from .residue import InternalInconsistencyError, UnitResidue, as_unit
 
 DEFAULT_CAP = 10000
 
@@ -38,10 +38,6 @@ class InvalidSError(GroupError):
 
 class NotFiniteError(GroupError):
     """The von Dyck group for this signature is infinite."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """A witness guaranteed to exist was not found."""
 
 
 def _compose(p, q):
@@ -461,13 +457,15 @@ def lemma42_check(k: int, m: int, r) -> bool:
 def witness_r_minus_one(G: FiniteGroup, x: int, u: int):
     """The explicit r = -1 formulas: with z = [x,u], w = xu satisfies
     [x^-1, w] = z^-1, and (x^-1, x y^-1 x^-1, z^-1) re-solves the product
-    equation for y = x^-1 z.  Both identities are asserted."""
+    equation for y = x^-1 z.  Both identities are checked."""
     z = G.commutator(x, u)
     w = G.mul(x, u)
-    assert G.commutator(G.inv(x), w) == G.inv(z)
+    if G.commutator(G.inv(x), w) != G.inv(z):
+        raise InternalInconsistencyError(f"[x^-1, xu] != [x, u]^-1 for x={x}, u={u}")
     y = G.mul(G.inv(x), z)
     xp = G.inv(x)
     yp = G.mul(G.mul(x, G.inv(y)), G.inv(x))
     zp = G.inv(z)
-    assert G.mul(xp, yp) == zp
+    if G.mul(xp, yp) != zp:
+        raise InternalInconsistencyError(f"x'y' != z' for x={x}, u={u}")
     return w, (xp, yp, zp)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from ._kernels import backend
-from .residue import UnitResidue, as_unit, unit_group
+from .residue import InternalInconsistencyError, UnitResidue, as_unit, unit_group
 
 
 class InvalidFiberError(ValueError):
@@ -136,7 +136,8 @@ def n_set(k: int, m: int) -> set[UnitResidue]:
         ):
             direct.add(r)
     shortcut = unit_group(lcm) if not tagged else set()
-    assert direct == shortcut, f"n_set mismatch for (k,m)=({k},{m})"
+    if direct != shortcut:
+        raise InternalInconsistencyError(f"n_set mismatch for (k,m)=({k},{m})")
     return direct
 
 
@@ -144,7 +145,7 @@ def fiber_count(sig: TriangleSignature, a: int, b: int) -> tuple[int, int]:
     """Number of third coordinates z with (a/k, b/l, z) in the open simplex,
     both enumerated and in closed form ceil(m - am/k - bm/l) - 1.
 
-    The two values are asserted equal and returned as a pair.
+    The two values are checked equal and returned as a pair.
     """
     k, l, m = sig.k, sig.l, sig.m
     if not (0 < a < k and 0 < b < l and a * l + b * k < k * l):
@@ -155,5 +156,8 @@ def fiber_count(sig: TriangleSignature, a: int, b: int) -> tuple[int, int]:
     # ceil((mkl - alm - bkm) / kl) - 1, exactly
     num = m * k * l - a * l * m - b * k * m
     formula = -((-num) // (k * l)) - 1
-    assert counted == formula, f"fiber count mismatch for {sig}, a={a}, b={b}"
+    if counted != formula:
+        raise InternalInconsistencyError(
+            f"fiber count mismatch for {sig}, a={a}, b={b}"
+        )
     return counted, formula

@@ -1,6 +1,7 @@
 """Elliptic conjugacy classes in PSL2(R): the exact solvability criterion
 for class-triple products, and an independent floating-point verifier that
-searches for an explicit conjugator.
+solves for a conjugator g = diag(e^s, e^-s) in closed form and re-verifies it
+on the explicit 2x2 matrix product.
 
 The exact test and the numeric search are deliberately kept apart: verdicts
 come from exact rational arithmetic only, the numeric side exists to
@@ -113,21 +114,24 @@ def class_of(w: Matrix) -> float:
     return math.acos(max(-1.0, min(1.0, tr / 2.0))) / math.pi
 
 
-def numeric_conjugator(a: Angle, b: Angle, c: Angle) -> tuple[float, float] | None:
-    """A conjugator g = R(phi*pi) diag(e^s, e^-s), as (phi, s), for which
-    sigma_a * g sigma_b g^-1 lies in the class inverse to c, or None when the
-    search finds none.  Independent of the exact criterion: the kernel's
-    candidate is re-verified on the explicit matrix product."""
+def numeric_conjugator(a: Angle, b: Angle, c: Angle) -> float | None:
+    """A conjugator g = diag(e^s, e^-s), as s, for which
+    sigma_a * g sigma_b g^-1 lies in the class inverse to c, or None when
+    there is none.  The kernel solves the trace equation in closed form; its
+    s is re-verified here on the explicit matrix product, independently of
+    the exact criterion.  No rotation R(phi*pi) g is needed: it changes
+    neither the trace nor the sign of the lower-left entry of an elliptic
+    product."""
     ra, rb, rc = _reps_nonzero(a, b, c)
     total = ra + rb + rc
     if min(abs(float(total) - 1), abs(float(total) - 2)) < BOUNDARY_MARGIN:
         raise InconclusiveError(
             f"representative sum {total} within {BOUNDARY_MARGIN} of a boundary"
         )
-    dist, phi, s = backend.grid_class_distance(float(ra), float(rb), float(rc))
-    if not dist < TOLERANCE:
+    s = backend.grid_class_distance(float(ra), float(rb), float(rc))
+    if s is None:
         return None
-    g = _matmul(_rotation(phi), ((math.exp(s), 0.0), (0.0, math.exp(-s))))
+    g = ((math.exp(s), 0.0), (0.0, math.exp(-s)))
     p = _matmul(sigma_matrix(a), _matmul(g, _matmul(sigma_matrix(b), _sl2_inverse(g))))
     try:
         theta = class_of(_sl2_inverse(p))
@@ -135,10 +139,9 @@ def numeric_conjugator(a: Angle, b: Angle, c: Angle) -> tuple[float, float] | No
         theta = math.nan
     if not abs(theta - float(rc)) < TOLERANCE:
         raise InternalInconsistencyError(
-            f"conjugator (phi={phi}, s={s}) for {a}, {b}, {c} gives class "
-            f"{theta}, not {float(rc)}"
+            f"conjugator s={s} for {a}, {b}, {c} gives class {theta}, not {float(rc)}"
         )
-    return phi, s
+    return s
 
 
 def numeric_triple_solvable(a: Angle, b: Angle, c: Angle) -> bool:

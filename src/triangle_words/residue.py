@@ -27,6 +27,11 @@ class InvalidSegmentError(ValueError):
     pass
 
 
+class InternalInconsistencyError(RuntimeError):
+    """A result guaranteed by the mathematics failed its own check, such as
+    a witness that must exist and was not found."""
+
+
 @dataclass(frozen=True, order=True)
 class UnitResidue:
     """A unit of Z/nZ, stored as its least positive representative."""
@@ -82,7 +87,10 @@ def _star_table(k: int, m: int) -> dict[tuple[int, int], int]:
         if math.gcd(x, lcm) != 1:
             continue
         key = (x % k, x % m)
-        assert key not in table, f"twist not unique for {key} mod ({k},{m})"
+        if key in table:
+            raise InternalInconsistencyError(
+                f"twist not unique for {key} mod ({k},{m})"
+            )
         table[key] = x % lcm
     return table
 

@@ -171,18 +171,19 @@ class TestOrevkov:
         assert data["rep_sum"] == "41/42"
 
     def test_numeric_flag(self, capsys):
-        code, data, _ = run_json(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
-        assert code == EXIT_TRUE
-        assert data["numeric_solvable"] is True
-        assert data["numeric_agrees"] is True
+        # (1/300)^3 needs the conjugator s = 5.25
+        for angles in (("1/2", "1/3", "1/7"), ("1/300", "1/300", "1/300")):
+            code, data, _ = run_json(capsys, "orevkov", *angles, "--numeric")
+            assert code == EXIT_TRUE
+            assert data["numeric_solvable"] is True
+            assert data["numeric_agrees"] is True
 
     def test_numeric_conjugator_certificate(self, capsys):
         _, data, _ = run_json(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
-        phi, s = data["numeric_conjugator"]
-        # the printed (phi, s) puts sigma_a * g sigma_b g^-1 in the class of
-        # c^-1, for g = R(phi*pi) diag(e^s, e^-s)
-        diag = ((math.exp(s), 0.0), (0.0, math.exp(-s)))
-        g = psl2._matmul(psl2._rotation(phi), diag)
+        s = data["numeric_conjugator"]
+        # the printed s puts sigma_a * g sigma_b g^-1 in the class of c^-1,
+        # for g = diag(e^s, e^-s)
+        g = ((math.exp(s), 0.0), (0.0, math.exp(-s)))
         a, b = (psl2.sigma_matrix(psl2.Angle.parse(x)) for x in ("1/2", "1/3"))
         p = psl2._matmul(a, psl2._matmul(g, psl2._matmul(b, psl2._sl2_inverse(g))))
         assert abs(psl2.class_of(psl2._sl2_inverse(p)) - 1 / 7) < psl2.TOLERANCE
@@ -232,10 +233,17 @@ class TestExitCodes:
 
     def test_failed_conjugator_reverification_exits_3(self, capsys, monkeypatch):
         # a kernel claiming a match at a point that is not one
-        monkeypatch.setattr(
-            psl2.backend, "grid_class_distance", lambda *args: (0.0, 0.0, 0.0)
-        )
+        monkeypatch.setattr(psl2.backend, "grid_class_distance", lambda *args: 0.0)
         code, out, err = run(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
         assert code == EXIT_INCONSISTENT
         assert out == ""
         assert "conjugator" in err
+
+    def test_numeric_disagreement_exits_3(self, capsys, monkeypatch):
+        # a kernel finding no conjugator for a solvable triple off the margin
+        monkeypatch.setattr(psl2.backend, "grid_class_distance", lambda *args: None)
+        code, data, _ = run_json(capsys, "orevkov", "1/2", "1/3", "1/7", "--numeric")
+        assert code == EXIT_INCONSISTENT
+        assert data["solvable"] is True
+        assert data["numeric_solvable"] is False
+        assert data["numeric_agrees"] is False

@@ -377,13 +377,38 @@ class TestWitnessRMinusOne:
         w, triple = witness_r_minus_one(G, 0, 0)
         assert w == 0 and triple == (0, 0, 0)
 
-    def test_s3(self):
+    @staticmethod
+    def s3_pair():
         G = corpus_group("s3")
         x = next(g for g in range(6) if G.order_of(g) == 2)
         u = next(g for g in range(6) if G.order_of(g) == 3)
+        return G, x, u
+
+    def test_s3(self):
+        G, x, u = self.s3_pair()
         w, (xp, yp, zp) = witness_r_minus_one(G, x, u)
         assert w == G.mul(x, u)
         assert G.mul(xp, yp) == zp
+
+    def test_first_identity_checked(self, monkeypatch):
+        G, x, u = self.s3_pair()
+        # z = xu breaks [x^-1, xu] = z^-1: x^-1 xu = u, not u^-1 x^-1
+        monkeypatch.setattr(G, "commutator", lambda x, u: G.mul(x, u))
+        with pytest.raises(InternalInconsistencyError):
+            witness_r_minus_one(G, x, u)
+
+    def test_second_identity_checked(self, monkeypatch):
+        G, x, u = self.s3_pair()
+        z = G.commutator(x, u)
+        # x' = x^-1 and y' = x y^-1 x^-1 = x z^-1 for y = x^-1 z; a product
+        # table wrong only at (x', y') breaks x'y' = z' = z^-1 != 1
+        xp, yp = G.inv(x), G.mul(x, G.inv(z))
+        mul = G.mul
+        monkeypatch.setattr(
+            G, "mul", lambda a, b: 0 if (a, b) == (xp, yp) else mul(a, b)
+        )
+        with pytest.raises(InternalInconsistencyError):
+            witness_r_minus_one(G, x, u)
 
     def test_q8_random(self):
         G = corpus_group("q8")

@@ -1,8 +1,7 @@
 """The kernel backend: one pure-Python implementation, no third-party
-imports."""
+imports, and no assert statements anywhere in the package."""
 
 import ast
-import math
 import os
 import subprocess
 import sys
@@ -24,6 +23,7 @@ from triangle_words.words import (
 )
 
 from oracles import automorphism_group, twisted_search_exhaustive
+from test_psl2 import A, reverify
 from test_words import cyclic_group
 
 
@@ -34,18 +34,19 @@ def test_backend_selected():
 def test_grid_unsolvable_is_infinite():
     # sigma_{1/2} * g sigma_{1/2} g^-1 has half-trace -cosh(2s) <= -1: never
     # elliptic, so no conjugator reaches the class 1/2
-    dist, _, _ = pure.grid_class_distance(0.5, 0.5, 0.5)
-    assert dist == math.inf
-    # hyperbolic-sum triple (sum 5/3): no s in [0, 5] matches either sign
-    dist, _, _ = pure.grid_class_distance(0.5, 0.5, 2 / 3)
-    assert dist == math.inf
+    assert pure.grid_class_distance(0.5, 0.5, 0.5) is None
+    # hyperbolic-sum triple (sum 5/3): no s >= 0 matches either sign
+    assert pure.grid_class_distance(0.5, 0.5, 2 / 3) is None
 
 
 def test_grid_solvable_is_close():
-    dist, phi, s = pure.grid_class_distance(0.5, 1 / 3, 1 / 7)
-    assert dist < 1e-9
-    assert 0.0 <= s <= pure.S_MAX
-    assert phi == 0.0
+    # (1/300)^3 needs s = 5.25 and (1/1000)^3 needs s = 6.46: no fixed
+    # interval of s holds every small-angle solution
+    triples = ((A(1, 2), A(1, 3), A(1, 7)), (A(1, 300),) * 3, (A(1, 1000),) * 3)
+    for a, b, c in triples:
+        s = pure.grid_class_distance(float(a.rep), float(b.rep), float(c.rep))
+        assert s >= 0.0
+        assert abs(reverify(a, b, 0.0, s) - float(c.rep)) < 1e-9
 
 
 def test_no_third_party_import():
@@ -69,6 +70,19 @@ def test_no_third_party_import():
     loaded = set(ast.literal_eval(out.stdout))
     assert "triangle_words" in loaded
     assert loaded - {"triangle_words"} <= sys.stdlib_module_names
+
+
+def test_no_assert_statements():
+    """Every check in the package is an explicit raise, so it still runs
+    under ``python -O``, which strips assert statements."""
+    package = Path(triangle_words.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 # C2-C6 and the corpus; the exhaustive oracle tries |G|^(s+1) 2^s words per

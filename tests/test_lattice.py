@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from triangle_words import lattice
+from triangle_words.groups import InternalInconsistencyError
 from triangle_words.lattice import (
     InvalidFiberError,
     LatticePoint,
@@ -162,6 +163,13 @@ class TestNSet:
                 else:
                     assert got == unit_group(math.lcm(k, m))
 
+    def test_mismatch_raises(self, monkeypatch):
+        # tagging every point gives a nonempty tagged set that every unit
+        # preserves, against the closed criterion
+        monkeypatch.setattr(lattice, "region_of", lambda p: RegionTag.S)
+        with pytest.raises(InternalInconsistencyError):
+            n_set(2, 3)
+
 
 class TestFiberCount:
     def test_example_237(self):
@@ -173,6 +181,12 @@ class TestFiberCount:
     def test_invalid_base(self):
         with pytest.raises(InvalidFiberError):
             fiber_count(TriangleSignature(2, 2, 3), 1, 1)
+
+    def test_mismatch_raises(self, monkeypatch):
+        # no point in S: the count 0 disagrees with the formula's 1
+        monkeypatch.setattr(lattice, "region_of", lambda p: RegionTag.NONE)
+        with pytest.raises(InternalInconsistencyError):
+            fiber_count(TriangleSignature(2, 3, 7), 1, 1)
 
     @given(
         st.integers(min_value=2, max_value=12),

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triangle_words.psl2 import (
@@ -180,17 +180,20 @@ def reverify(a, b, phi, s):
     return class_of(mat_inv(p))
 
 
-angles = st.integers(2, 60).flatmap(
+angles = st.integers(2, 1000).flatmap(
     lambda q: st.integers(1, q - 1).map(lambda p: A(p, q))
 )
 
 
 @settings(max_examples=400, deadline=None)
 @given(angles, angles, angles)
+@example(A(1, 300), A(1, 300), A(1, 300))
+@example(A(1, 1000), A(1, 1000), A(1, 1000))
 def test_numeric_matches_exact(a, b, c):
     """Differential test: off the boundary, the numeric search finds a
     conjugator exactly when the exact criterion says solvable, and every
-    conjugator it returns re-verifies on the explicit product."""
+    conjugator it returns re-verifies on the explicit product.  Small
+    angles need a large s: 5.25 for (1/300)^3, 6.46 for (1/1000)^3."""
     total = float(a.rep + b.rep + c.rep)
     if abs(total - 1) < BOUNDARY_MARGIN or abs(total - 2) < BOUNDARY_MARGIN:
         with pytest.raises(InconclusiveError):
@@ -199,13 +202,14 @@ def test_numeric_matches_exact(a, b, c):
     found = numeric_conjugator(a, b, c)
     assert (found is not None) == orevkov_solvable(a, b, c)
     if found is not None:
-        assert abs(reverify(a, b, *found) - float(c.rep)) < TOLERANCE
+        assert abs(reverify(a, b, 0.0, found) - float(c.rep)) < TOLERANCE
 
 
 def test_rotation_leaves_class_unchanged():
     """Rotating the conjugator g = diag(e^s, e^-s) to R(phi*pi) g changes
     neither the trace nor the sign of the lower-left entry of an elliptic
-    product, so its class is the same: why the numeric search fixes phi = 0."""
+    product, so its class is the same: why the numeric conjugator has no
+    rotation."""
     rng = random.Random(21)
     checked = 0
     while checked < 500:
